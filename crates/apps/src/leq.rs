@@ -132,6 +132,8 @@ const BOARD_OBJ: ObjId = ObjId(1);
 
 /// Runs LEQ; checksum is the bit-exact solution hash.
 pub fn run(cfg: &RunConfig, params: &LeqParams) -> AppReport {
+    // Every node reads the same matrix: build it once and share it.
+    let sys = std::sync::Arc::new(System::generate(params.instance_seed, params.unknowns));
     let mut cluster = build_cluster(cfg);
     cluster
         .world
@@ -140,7 +142,6 @@ pub fn run(cfg: &RunConfig, params: &LeqParams) -> AppReport {
     let (elapsed, results) = run_workers(&mut cluster, move |ctx, node, rts| {
         let board = BoardHandle::new(std::sync::Arc::clone(&rts), BOARD_OBJ);
         let nodes = rts.nodes();
-        let sys = System::generate(params.instance_seed, params.unknowns);
         let mut x = vec![0.0f64; params.unknowns];
         let my = slice_of(node, nodes, params.unknowns);
         for iter in 0..params.iterations {

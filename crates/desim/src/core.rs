@@ -659,6 +659,10 @@ pub(crate) struct Core {
     /// threads across runs; the lock is never contended (strict
     /// alternation), so it costs one CAS.
     sched_thread: Mutex<Option<Thread>>,
+    /// Registration indices of the cross-lane links this lane sent on since
+    /// the last window barrier, in first-send order. Pushed by
+    /// [`crate::XSender::send`], drained by the windowed driver.
+    pub(crate) dirty_links: Mutex<Vec<usize>>,
 }
 
 const NO_PANIC: usize = usize::MAX;
@@ -716,6 +720,7 @@ impl Core {
             panicked_tid: AtomicUsize::new(NO_PANIC),
             sched_turn: AtomicBool::new(true),
             sched_thread: Mutex::new(None),
+            dirty_links: Mutex::new(Vec::new()),
         })
     }
 

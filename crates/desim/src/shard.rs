@@ -46,7 +46,7 @@
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -152,21 +152,6 @@ pub(crate) fn default_shards() -> ShardCount {
     ShardCount::Auto
 }
 
-/// What one barrier-time [`XPort::flush`] did.
-pub(crate) enum FlushResult {
-    /// Nothing was sent since the last flush: the dirty-flag fast path
-    /// returned after one atomic swap, taking no lock.
-    Quiet,
-    /// The outbox was merged into the pending list; the earliest pending
-    /// delivery was already covered by a queued injection event.
-    Merged,
-    /// The outbox was merged and a fresh injection event was pushed into
-    /// the destination lane's queue at this instant. The driver folds it
-    /// into the lane's published next-event slot, so a lane made runnable
-    /// only by this flush is not skipped.
-    Armed(SimTime),
-}
-
 /// Barrier-side face of a cross-lane link, held by the `Simulation` driver.
 /// Only called between windows, when no lane is running.
 pub(crate) trait XPort: Send + Sync {
@@ -181,17 +166,19 @@ pub(crate) trait XPort: Send + Sync {
     /// Moves everything sent during the last window into the destination
     /// lane's pending list and, when the earliest pending delivery is not
     /// already covered by a queued injection event, pushes one directly
-    /// into the destination lane's event queue. `floor` is the committed
-    /// global horizon: conservative lookahead guarantees every delivery
-    /// lands at or past it, which is debug-asserted here (the
-    /// cross-shard-injection assertion of `queue.rs`'s module docs).
+    /// into the destination lane's event queue and returns its instant.
+    /// The driver folds that instant into the lane's published next-event
+    /// slot, so a lane made runnable only by this flush is not skipped.
+    /// `floor` is the committed global horizon: conservative lookahead
+    /// guarantees every delivery lands at or past it, which is
+    /// debug-asserted here (the cross-shard-injection assertion of
+    /// `queue.rs`'s module docs).
     ///
-    /// Quiet links — nothing sent since the last flush — return
-    /// [`FlushResult::Quiet`] after a single atomic swap on the link's
-    /// dirty flag, taking no lock at all: the common case in switch-tree
-    /// topologies, where most windows carry no cross-lane traffic on most
-    /// links.
-    fn flush(&self, floor: SimTime) -> FlushResult;
+    /// Called only for links that were sent on since their last flush: a
+    /// link's first send of a window lists it on its source lane's dirty
+    /// list, and the driver flushes exactly the listed links. Quiet links —
+    /// most links in most windows of a switch tree — cost nothing.
+    fn flush(&self, floor: SimTime) -> Option<SimTime>;
 }
 
 /// Shared state of one [`XSender`] link.
@@ -200,8 +187,8 @@ pub(crate) trait XPort: Send + Sync {
 /// value early:
 ///
 /// 1. `send` (source lane, during a window) appends `(now + delay, value)`
-///    to the `outbox` — invisible to the destination — and raises the
-///    link's dirty flag.
+///    to the `outbox` — invisible to the destination — and, if the outbox
+///    was empty, lists the link on the source lane's dirty list.
 /// 2. `flush` (driver, at the window barrier) merges the outbox into
 ///    `pending`, sorted by delivery time, and pushes an *injection event*
 ///    ([`LaneInjector`]) into the destination lane's queue at the earliest
@@ -219,11 +206,12 @@ struct XShared<T> {
     /// This link's index in the destination lane's injector table; carried
     /// by every injection event the link arms.
     idx: usize,
-    /// Set by `send`, cleared by `flush`; lets a quiet window skip the
-    /// outbox and pending locks entirely.
-    dirty: AtomicBool,
+    /// This link's index in the driver's registration-ordered flush list;
+    /// what `send` pushes onto the source lane's dirty list.
+    port_idx: usize,
     /// `(delivery instant, value)` pairs sent during the current window, in
     /// send order (per-lane virtual time is monotone, so also time order).
+    /// Non-empty exactly while the link is on a dirty list.
     outbox: Mutex<Vec<(SimTime, T)>>,
     /// Flushed, undelivered values sorted by delivery instant (stable, so
     /// same-instant values keep flush order).
@@ -294,13 +282,7 @@ impl<T: Send + 'static> XPort for XShared<T> {
         self.dst_lane
     }
 
-    fn flush(&self, floor: SimTime) -> FlushResult {
-        // Quiet link: nothing was sent since the last flush, and anything
-        // still pending already has an injection event queued (armed at
-        // flush or re-armed at delivery). One uncontended atomic, no locks.
-        if !self.dirty.swap(false, Ordering::Acquire) {
-            return FlushResult::Quiet;
-        }
+    fn flush(&self, floor: SimTime) -> Option<SimTime> {
         let out: Vec<(SimTime, T)> = std::mem::take(&mut *self.outbox.lock());
         let front = {
             let mut p = self.pending.lock();
@@ -313,12 +295,9 @@ impl<T: Send + 'static> XPort for XShared<T> {
                 let pos = p.q.partition_point(|e| e.0 <= at);
                 p.q.insert(pos, (at, v));
             }
-            let front = match p.q.front().map(|e| e.0) {
-                Some(f) => f,
-                None => return FlushResult::Merged,
-            };
+            let front = p.q.front().map(|e| e.0)?;
             if !p.needs_arm(front) {
-                return FlushResult::Merged;
+                return None;
             }
             p.armed.push(front);
             front
@@ -331,7 +310,7 @@ impl<T: Send + 'static> XPort for XShared<T> {
             .state
             .lock()
             .schedule_injection(front, self.idx);
-        FlushResult::Armed(front)
+        Some(front)
     }
 }
 
@@ -376,10 +355,16 @@ impl<T: Send + 'static> XSender<T> {
             "XSender used from a lane other than its source lane"
         );
         let at = ctx.now() + self.shared.delay;
-        self.shared.outbox.lock().push((at, value));
-        // Raised after the push; the window barrier orders both against the
-        // driver's flush, so Release is belt-and-braces, not load-bearing.
-        self.shared.dirty.store(true, Ordering::Release);
+        let first = {
+            let mut out = self.shared.outbox.lock();
+            out.push((at, value));
+            out.len() == 1
+        };
+        // The first send of a window lists the link for the barrier flush;
+        // the window gate orders this push against the driver's drain.
+        if first {
+            ctx.core().dirty_links.lock().push(self.shared.port_idx);
+        }
     }
 
     /// The link's fixed delivery delay.
@@ -394,6 +379,7 @@ impl<T: Send + 'static> XSender<T> {
 /// driver's flush list; deliveries happen via barrier-time injection
 /// events, so no daemon is spawned anywhere.
 pub(crate) fn new_link<T: Send + 'static>(
+    port_idx: usize,
     delay: SimDuration,
     src_core: &Arc<Core>,
     dst_core: &Arc<Core>,
@@ -410,7 +396,7 @@ pub(crate) fn new_link<T: Send + 'static>(
         delay,
         dst_lane,
         idx,
-        dirty: AtomicBool::new(false),
+        port_idx,
         outbox: Mutex::new(Vec::new()),
         pending: Mutex::new(PendingBox {
             q: VecDeque::new(),

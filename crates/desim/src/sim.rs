@@ -15,7 +15,7 @@ use crate::core::{
 use crate::ctx::Ctx;
 use crate::fiber;
 use crate::queue::QueueStats;
-use crate::shard::{self, FlushResult, LaneId, LaneSlot, ShardCount, WindowGate, XPort, XSender};
+use crate::shard::{self, LaneId, LaneSlot, ShardCount, WindowGate, XPort, XSender};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{CounterSnapshot, TraceEvent, Tracer};
 
@@ -98,8 +98,8 @@ pub struct WindowStats {
     pub events: u64,
     /// Cross-lane flushes that had traffic to merge.
     pub flushes: u64,
-    /// Cross-lane flushes elided by the dirty-flag fast path (one relaxed
-    /// atomic swap, no lock).
+    /// Link-rounds with no traffic to merge: links that were not on any
+    /// lane's dirty list at a barrier, and so were never touched.
     pub flushes_elided: u64,
     /// Lane-windows skipped because the lane's published next event lay at
     /// or past the window edge (no state lock taken).
@@ -519,6 +519,7 @@ impl Simulation {
             "cross_link {name}: {dst_proc:?} is not a processor of {dst_lane}"
         );
         let (sender, port) = shard::new_link(
+            self.xports.len(),
             delay,
             self.lane_core(src_lane),
             self.lane_core(dst_lane),
@@ -695,8 +696,8 @@ impl Simulation {
     /// scheme and the bit-identity argument). Structure per round, with
     /// every lane stopped between the gate's `done` and the next `open`:
     ///
-    /// 1. flush every cross-lane link, in registration order (dirty links
-    ///    only — a quiet link costs one atomic swap);
+    /// 1. drain every lane's dirty-link list and flush those links in
+    ///    registration order (a link no lane sent on is never touched);
     /// 2. stop if the target finished, a lane hit its event budget, or the
     ///    summed budget is exhausted — all read from the lanes' published
     ///    atomic slots, no state lock;
@@ -815,24 +816,30 @@ impl Simulation {
             // Committed horizon: every instant below it is finished history
             // on every lane, so cross-lane flushes must land at or past it.
             let mut floor = SimTime::ZERO;
+            let mut dirty: Vec<usize> = Vec::new();
             let out = loop {
-                for xp in &self.xports {
-                    match xp.flush(floor) {
-                        FlushResult::Quiet => stats.flushes_elided += 1,
-                        FlushResult::Merged => stats.flushes += 1,
-                        FlushResult::Armed(t) => {
-                            stats.flushes += 1;
-                            // Fold the armed instant into the destination's
-                            // published position so `T_min` and the skip see
-                            // it. Coordinator-only phase: plain load/store.
-                            let slot = &slots[xp.dst_lane()].next;
-                            let t_ns = t.as_nanos();
-                            if t_ns < slot.load(AO::Relaxed) {
-                                slot.store(t_ns, AO::Relaxed);
-                            }
+                // Flush in registration order — the deterministic merge
+                // order — whichever lanes listed the links, in any order.
+                for c in &cores {
+                    dirty.append(&mut c.dirty_links.lock());
+                }
+                dirty.sort_unstable();
+                stats.flushes += dirty.len() as u64;
+                stats.flushes_elided += (self.xports.len() - dirty.len()) as u64;
+                for &i in &dirty {
+                    let xp = &self.xports[i];
+                    if let Some(t) = xp.flush(floor) {
+                        // Fold the armed instant into the destination's
+                        // published position so `T_min` and the skip see
+                        // it. Coordinator-only phase: plain load/store.
+                        let slot = &slots[xp.dst_lane()].next;
+                        let t_ns = t.as_nanos();
+                        if t_ns < slot.load(AO::Relaxed) {
+                            slot.store(t_ns, AO::Relaxed);
                         }
                     }
                 }
+                dirty.clear();
                 if let Some((sl, _)) = stop {
                     if outcomes[sl].load(AO::Acquire) == OUT_TARGET {
                         break Ok(true);

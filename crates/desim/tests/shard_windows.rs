@@ -222,7 +222,7 @@ fn two_lane_ring_is_shard_count_independent() {
 fn quiet_windows_elide_flush_work() {
     // Lane 0 fires one early burst at lane 1, then lane 1 grinds through a
     // long local program: every later window carries no cross traffic, so
-    // its flush must be elided (dirty-flag fast path) and drained lane 0
+    // its flush must be elided (no lane lists the link) and drained lane 0
     // skipped without taking its state lock.
     let mut sim = Simulation::builder().seed(5).shards(2).build();
     let l1 = sim.add_lane();
@@ -294,7 +294,7 @@ proptest! {
     }
 
     /// Topologies where lanes sit fully idle: the idle-lane skip and the
-    /// dirty-flag flush elision must not change a single observable — every
+    /// dirty-link flush elision must not change a single observable — every
     /// delivery instant, trace line, and clock matches the serial
     /// (`shards=1`) reference exactly, and the window-engine counters
     /// themselves are shard-count independent.

@@ -268,9 +268,56 @@ impl SegmentStats {
 
 struct Attachment {
     mac: Option<MacAddr>,
-    promiscuous: bool,
+    /// Set for a switch port: it captures every frame on the segment that
+    /// its rule forwards.
+    port: Option<PortRule>,
     groups: HashSet<McastAddr>,
     rx: SimChannel<Frame>,
+}
+
+/// Where a switch port sits in its switch, which decides the frames it
+/// forwards. The segment daemon evaluates [`PortRule::forwards`] during the
+/// fan-out, so a port is enqueued and woken only for frames it forwards —
+/// as a hardware switch's address table drops the rest with no CPU work.
+#[derive(Clone)]
+struct PortRule {
+    /// The segment the port captures from.
+    segment: SegmentId,
+    /// True for an edge switch's backbone port.
+    uplink: bool,
+    /// The segments on the switch's side: an edge switch's leaves, or every
+    /// segment of a flat switch.
+    leaves: Vec<SegmentId>,
+}
+
+impl PortRule {
+    /// The forwarding predicate shared by every switch port.
+    ///
+    /// - *Inbound:* the source's home must be on the port's side — for an
+    ///   uplink, not under `leaves`; for any other port, `segment` itself.
+    ///   Any other frame is a copy a switch put on this segment.
+    /// - *Unicast:* the destination's home must be known, differ from
+    ///   `segment`, and be under `leaves` or reachable up through a
+    ///   non-uplink port.
+    /// - *Multicast and broadcast* pass on the inbound check alone; group
+    ///   pruning happens when the port floods.
+    fn forwards(&self, net: &NetInner, frame: &Frame) -> bool {
+        let Some(src) = net.home_of(frame.src) else {
+            return false;
+        };
+        let inbound = if self.uplink {
+            !self.leaves.contains(&src)
+        } else {
+            src == self.segment
+        };
+        inbound
+            && match frame.dst {
+                Dest::Unicast(mac) => net.home_of(mac).is_some_and(|dst| {
+                    dst != self.segment && (!self.uplink || self.leaves.contains(&dst))
+                }),
+                Dest::Multicast(_) | Dest::Broadcast => true,
+            }
+    }
 }
 
 /// A delivery held back by reorder injection: released onto its receiver's
@@ -279,6 +326,10 @@ struct HeldDelivery {
     remaining: u64,
     rx: SimChannel<Frame>,
     dst_mac: Option<MacAddr>,
+    /// False for a switch port that does not forward the frame: the hold
+    /// is drawn and counted like any other, but its release enqueues
+    /// nothing.
+    deliver: bool,
     frame: Frame,
 }
 
@@ -483,7 +534,7 @@ impl Network {
         let tx = inner.segments[segment.0].tx.clone();
         inner.segments[segment.0].attachments.push(Attachment {
             mac: Some(mac),
-            promiscuous: false,
+            port: None,
             groups: HashSet::new(),
             rx: rx.clone(),
         });
@@ -510,14 +561,20 @@ impl Network {
     /// (pipelined: the port does not block for the hop; see module docs).
     pub fn add_switch(&mut self, sim: &mut Simulation, segments: &[SegmentId], name: &str) {
         let lanes: Vec<LaneId> = segments.iter().map(|&s| self.segment_lane(s)).collect();
+        // A flat switch has no uplink: every segment is on its side.
+        let rule_of = |seg| PortRule {
+            segment: seg,
+            uplink: false,
+            leaves: segments.to_vec(),
+        };
         if lanes.iter().all(|&l| l == lanes[0]) {
             let proc = sim.add_processor_on(lanes[0], &format!("switch-{name}"));
             for &seg in segments {
-                let port_rx = self.add_switch_port(seg);
+                let rule = rule_of(seg);
+                let port_rx = self.add_switch_port(rule.clone());
                 let net = self.clone();
-                let all: Vec<SegmentId> = segments.to_vec();
                 sim.spawn_daemon_on_lane(lanes[0], proc, &format!("sw-{name}-{seg}"), move |ctx| {
-                    net.switch_port_daemon(ctx, seg, &all, port_rx);
+                    net.switch_port_daemon(ctx, &rule, port_rx);
                 });
             }
             return;
@@ -530,7 +587,8 @@ impl Network {
             "a cross-lane switch needs a positive switch_latency (it is the lookahead)"
         );
         for (i, &seg) in segments.iter().enumerate() {
-            let port_rx = self.add_switch_port(seg);
+            let rule = rule_of(seg);
+            let port_rx = self.add_switch_port(rule.clone());
             let (my_lane, my_proc) = {
                 let inner = self.inner.lock();
                 (inner.segments[seg.0].lane, inner.segments[seg.0].proc)
@@ -568,7 +626,7 @@ impl Network {
             }
             let net = self.clone();
             sim.spawn_daemon_on_lane(my_lane, my_proc, &format!("sw-{name}-{seg}"), move |ctx| {
-                net.sharded_switch_port_daemon(ctx, seg, &links, port_rx);
+                net.sharded_switch_port_daemon(ctx, &rule, &links, port_rx);
             });
         }
     }
@@ -611,7 +669,12 @@ impl Network {
         ports.push(uplink);
         let mut any_cross = false;
         for (i, &seg) in ports.iter().enumerate() {
-            let port_rx = self.add_switch_port(seg);
+            let rule = PortRule {
+                segment: seg,
+                uplink: seg == uplink,
+                leaves: leaves.to_vec(),
+            };
+            let port_rx = self.add_switch_port(rule.clone());
             let (my_lane, my_proc) = {
                 let inner = self.inner.lock();
                 (inner.segments[seg.0].lane, inner.segments[seg.0].proc)
@@ -641,19 +704,9 @@ impl Network {
                 };
                 links.push((dst, link));
             }
-            let is_uplink_port = seg == uplink;
-            let my_leaves: Vec<SegmentId> = leaves.to_vec();
             let net = self.clone();
             sim.spawn_daemon_on_lane(my_lane, my_proc, &format!("sw-{name}-{seg}"), move |ctx| {
-                net.tree_switch_port_daemon(
-                    ctx,
-                    seg,
-                    is_uplink_port,
-                    &my_leaves,
-                    &links,
-                    uplink,
-                    port_rx,
-                );
+                net.tree_switch_port_daemon(ctx, &rule, &links, uplink, port_rx);
             });
         }
         if any_cross {
@@ -665,14 +718,14 @@ impl Network {
         }
     }
 
-    /// Attaches a promiscuous capture port for a switch to `seg` and returns
-    /// its receive queue.
-    fn add_switch_port(&mut self, seg: SegmentId) -> SimChannel<Frame> {
+    /// Attaches a switch's capture port to `rule.segment` and returns its
+    /// receive queue, which gets exactly the frames `rule` forwards.
+    fn add_switch_port(&mut self, rule: PortRule) -> SimChannel<Frame> {
         let port_rx = SimChannel::new();
         let mut inner = self.inner.lock();
-        inner.segments[seg.0].attachments.push(Attachment {
+        inner.segments[rule.segment.0].attachments.push(Attachment {
             mac: None,
-            promiscuous: true,
+            port: Some(rule),
             groups: HashSet::new(),
             rx: port_rx.clone(),
         });
@@ -805,13 +858,17 @@ impl Network {
                     ("src", u64::from(frame.src.0)),
                 ],
             );
-            let targets: Vec<(Option<MacAddr>, SimChannel<Frame>)> = {
+            // `deliver` is false for a switch port that drops the frame: it
+            // still takes every fault draw below, in order, so the RNG
+            // streams, counters and Net-layer trace are untouched, but it
+            // is never enqueued or woken.
+            let targets: Vec<(Option<MacAddr>, bool, SimChannel<Frame>)> = {
                 let inner = self.inner.lock();
                 inner.segments[id.0]
                     .attachments
                     .iter()
                     .filter(|a| {
-                        a.promiscuous
+                        a.port.is_some()
                             || match frame.dst {
                                 Dest::Unicast(m) => a.mac == Some(m),
                                 Dest::Multicast(g) => a.groups.contains(&g),
@@ -819,7 +876,10 @@ impl Network {
                             }
                     })
                     .filter(|a| a.mac != Some(frame.src)) // no self-delivery
-                    .map(|a| (a.mac, a.rx.clone()))
+                    .map(|a| {
+                        let deliver = a.port.as_ref().is_none_or(|p| p.forwards(&inner, &frame));
+                        (a.mac, deliver, a.rx.clone())
+                    })
                     .collect()
             };
             let f = self.faults.lock().clone();
@@ -831,7 +891,7 @@ impl Network {
             // unbatched delivery. Fault draws stay per delivery, in the
             // same RNG order (reachability, rx-loss, reorder, dup).
             let mut wakes: Vec<PendingWake> = Vec::new();
-            for (mac, target) in targets {
+            for (mac, deliver, target) in targets {
                 // Reachability first — purely deterministic, no RNG draws.
                 if let Some(m) = mac {
                     if f.is_down(m) || f.is_partitioned(frame.src, m) {
@@ -859,6 +919,7 @@ impl Network {
                         remaining,
                         rx: target,
                         dst_mac: mac,
+                        deliver,
                         frame: frame.clone(),
                     });
                     ctx.trace_instant(
@@ -869,14 +930,18 @@ impl Network {
                     continue;
                 }
                 ctx.trace_instant(Layer::Net, "rx", &[("src", u64::from(frame.src.0))]);
-                if let Ok(Some(w)) = target.send_deferred(frame.clone()) {
-                    wakes.push(w);
+                if deliver {
+                    if let Ok(Some(w)) = target.send_deferred(frame.clone()) {
+                        wakes.push(w);
+                    }
                 }
                 if f.dup_prob > 0.0 && ctx.rand_bool(f.dup_prob) {
                     self.inner.lock().segments[id.0].stats.dup_deliveries += 1;
                     ctx.trace_instant(Layer::Net, "rx_dup", &[("src", u64::from(frame.src.0))]);
-                    if let Ok(Some(w)) = target.send_deferred(frame.clone()) {
-                        wakes.push(w);
+                    if deliver {
+                        if let Ok(Some(w)) = target.send_deferred(frame.clone()) {
+                            wakes.push(w);
+                        }
                     }
                 }
             }
@@ -908,6 +973,7 @@ impl Network {
                         remaining: 0,
                         rx: h.rx.clone(),
                         dst_mac: h.dst_mac,
+                        deliver: h.deliver,
                         frame: h.frame.clone(),
                     });
                     false
@@ -940,6 +1006,9 @@ impl Network {
                 "rx_release",
                 &[("src", u64::from(h.frame.src.0))],
             );
+            if !h.deliver {
+                continue;
+            }
             if let Ok(Some(w)) = h.rx.send_deferred(h.frame) {
                 wakes.push(w);
             }
@@ -949,41 +1018,42 @@ impl Network {
         }
     }
 
-    fn switch_port_daemon(
-        &self,
-        ctx: &Ctx,
-        my_segment: SegmentId,
-        all_segments: &[SegmentId],
-        port_rx: SimChannel<Frame>,
-    ) {
+    /// Checks, in debug builds, that the fan-out woke a port only for a
+    /// frame its rule forwards.
+    fn debug_assert_forwards(&self, rule: &PortRule, frame: &Frame) {
+        debug_assert!(
+            rule.forwards(&self.inner.lock(), frame),
+            "switch port on {} woken for a frame it drops",
+            rule.segment
+        );
+    }
+
+    /// Home segment of a forwarded unicast destination (the port rule only
+    /// forwards known destinations).
+    fn forwarded_home(&self, mac: MacAddr) -> SegmentId {
+        self.inner
+            .lock()
+            .home_of(mac)
+            .expect("forwarded unicast has a home segment")
+    }
+
+    fn switch_port_daemon(&self, ctx: &Ctx, rule: &PortRule, port_rx: SimChannel<Frame>) {
         while let Some(frame) = port_rx.recv(ctx) {
-            let src_home = self.inner.lock().home_of(frame.src);
-            // Only forward frames that originated on this port's segment;
-            // anything else was injected by the switch itself.
-            if src_home != Some(my_segment) {
-                continue;
-            }
+            self.debug_assert_forwards(rule, &frame);
+            ctx.trace_cost(Layer::Net, "switch_hop", self.cfg.switch_latency);
+            ctx.sleep(self.cfg.switch_latency);
             match frame.dst {
                 Dest::Unicast(mac) => {
-                    let dst_home = self.inner.lock().home_of(mac);
-                    match dst_home {
-                        Some(seg) if seg != my_segment => {
-                            ctx.trace_cost(Layer::Net, "switch_hop", self.cfg.switch_latency);
-                            ctx.sleep(self.cfg.switch_latency);
-                            let tx = self.inner.lock().segments[seg.0].tx.clone();
-                            let _ = tx.send(ctx, frame);
-                        }
-                        _ => {} // local traffic or unknown station: no forward
-                    }
+                    let seg = self.forwarded_home(mac);
+                    let tx = self.inner.lock().segments[seg.0].tx.clone();
+                    let _ = tx.send(ctx, frame);
                 }
                 Dest::Multicast(_) | Dest::Broadcast => {
-                    ctx.trace_cost(Layer::Net, "switch_hop", self.cfg.switch_latency);
-                    ctx.sleep(self.cfg.switch_latency);
                     let txs: Vec<_> = {
                         let inner = self.inner.lock();
-                        all_segments
+                        rule.leaves
                             .iter()
-                            .filter(|s| **s != my_segment)
+                            .filter(|s| **s != rule.segment)
                             .map(|s| inner.segments[s.0].tx.clone())
                             .collect()
                     };
@@ -1015,26 +1085,17 @@ impl Network {
     fn sharded_switch_port_daemon(
         &self,
         ctx: &Ctx,
-        my_segment: SegmentId,
+        rule: &PortRule,
         links: &[(SegmentId, PortLink)],
         port_rx: SimChannel<Frame>,
     ) {
         while let Some(frame) = port_rx.recv(ctx) {
-            let src_home = self.inner.lock().home_of(frame.src);
-            // Only forward frames that originated on this port's segment;
-            // anything else was injected by the switch itself.
-            if src_home != Some(my_segment) {
-                continue;
-            }
+            self.debug_assert_forwards(rule, &frame);
             match frame.dst {
                 Dest::Unicast(mac) => {
-                    let dst_home = self.inner.lock().home_of(mac);
-                    let Some(seg) = dst_home else { continue };
-                    if seg == my_segment {
-                        continue; // local traffic: no forward
-                    }
+                    let seg = self.forwarded_home(mac);
                     let Some((_, link)) = links.iter().find(|(s, _)| *s == seg) else {
-                        continue; // destination not behind this switch
+                        continue; // destination homed off this switch
                     };
                     ctx.trace_cost(Layer::Net, "switch_hop", self.cfg.switch_latency);
                     match link {
@@ -1073,68 +1134,46 @@ impl Network {
             }
         }
     }
+
     /// Port daemon of an edge switch (see [`Network::add_switch_with_uplink`]).
     /// Runs on its segment's lane; same-lane hops sleep then enqueue
     /// (classic store-and-forward), cross-lane hops ride a link that adds
     /// the same latency without blocking the port.
-    #[allow(clippy::too_many_arguments)]
     fn tree_switch_port_daemon(
         &self,
         ctx: &Ctx,
-        my_segment: SegmentId,
-        is_uplink_port: bool,
-        leaves: &[SegmentId],
+        rule: &PortRule,
         links: &[(SegmentId, PortLink)],
         uplink: SegmentId,
         port_rx: SimChannel<Frame>,
     ) {
         while let Some(frame) = port_rx.recv(ctx) {
-            let Some(src) = self.inner.lock().home_of(frame.src) else {
-                continue;
-            };
-            // Inbound gate: forward only frames whose source lives on this
-            // port's side of the switch — everything else is a copy this
-            // switch (or a sibling on the backbone) injected itself.
-            let inbound = if is_uplink_port {
-                !leaves.contains(&src)
-            } else {
-                src == my_segment
-            };
-            if !inbound {
-                continue;
-            }
+            self.debug_assert_forwards(rule, &frame);
             match frame.dst {
                 Dest::Unicast(mac) => {
-                    let Some(dst) = self.inner.lock().home_of(mac) else {
-                        continue;
-                    };
-                    if dst == my_segment {
-                        continue; // local traffic: no forward
-                    }
-                    let out = if leaves.contains(&dst) {
-                        links.iter().find(|(s, _)| *s == dst)
-                    } else if !is_uplink_port {
-                        // Not behind this switch: route toward the backbone.
-                        links.iter().find(|(s, _)| *s == uplink)
+                    // Down to the leaf that is home to the destination, or
+                    // (from a leaf) up toward the backbone.
+                    let dst = self.forwarded_home(mac);
+                    let out = if rule.leaves.contains(&dst) {
+                        dst
                     } else {
-                        None // backbone-side destination already saw it there
+                        uplink
                     };
-                    let Some((_, link)) = out else { continue };
+                    let (_, link) = links
+                        .iter()
+                        .find(|(s, _)| *s == out)
+                        .expect("every port links to the leaves and the uplink");
                     ctx.trace_cost(Layer::Net, "switch_hop", self.cfg.switch_latency);
                     match link {
                         PortLink::Local(tx) => {
                             ctx.sleep(self.cfg.switch_latency);
                             let _ = tx.send(ctx, frame);
                         }
-                        PortLink::Cross(x) => x.send(ctx, frame.clone()),
+                        PortLink::Cross(x) => x.send(ctx, frame),
                     }
                 }
-                Dest::Multicast(g) => {
-                    self.tree_flood(ctx, &frame, links, leaves, uplink, is_uplink_port, Some(g));
-                }
-                Dest::Broadcast => {
-                    self.tree_flood(ctx, &frame, links, leaves, uplink, is_uplink_port, None);
-                }
+                Dest::Multicast(g) => self.tree_flood(ctx, &frame, rule, links, uplink, Some(g)),
+                Dest::Broadcast => self.tree_flood(ctx, &frame, rule, links, uplink, None),
             }
         }
     }
@@ -1143,15 +1182,13 @@ impl Network {
     /// ports that actually lead to members. Cross-lane sends go first (the
     /// link stamps arrival `switch_latency` from now), then the port sleeps
     /// the hop latency and enqueues on same-lane segments in one batch.
-    #[allow(clippy::too_many_arguments)]
     fn tree_flood(
         &self,
         ctx: &Ctx,
         frame: &Frame,
+        rule: &PortRule,
         links: &[(SegmentId, PortLink)],
-        leaves: &[SegmentId],
         uplink: SegmentId,
-        is_uplink_port: bool,
         group: Option<McastAddr>,
     ) {
         let targets: Vec<&PortLink> = {
@@ -1160,9 +1197,10 @@ impl Network {
                 .iter()
                 .filter(|(s, _)| match group {
                     None => true,
-                    Some(g) if *s == uplink && !is_uplink_port => {
+                    Some(g) if *s == uplink && !rule.uplink => {
                         // Up the tree only if members exist beyond our leaves.
-                        let under: u32 = leaves
+                        let under: u32 = rule
+                            .leaves
                             .iter()
                             .map(|l| {
                                 inner.segments[l.0]

@@ -9,9 +9,23 @@
 //! ```text
 //! cargo test --release --test fleet_scale -- --ignored
 //! ```
+//!
+//! The two small matrices are also pinned to their recorded result hashes,
+//! so a change that moves what a switched fleet computes fails here even
+//! when every backend and shard count moves together.
+
+use std::sync::{Mutex, MutexGuard};
 
 use apps::fleet::{run_fleet, FleetReport, FleetSpec, FleetStack, ThinkDist};
 use desim::Backend;
+
+/// Serializes the `#[ignore]`d big worlds. Each one maps thousands of
+/// stacks, and two of them side by side (or one beside the 4k os-threads
+/// matrix) overflow the default `vm.max_map_count`.
+fn big_world_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Runs `spec` over {os-threads, fibers} × shards {1, 2, auto} and asserts
 /// every run hashes identically. Returns the reference report.
@@ -55,6 +69,13 @@ fn kernel_fleet_identical_across_backends_and_shards() {
     spec.mean_think = desim::ms(6);
     let r = assert_matrix_identical(&spec);
     percentiles_are_sane(&r);
+    assert_eq!(
+        r.result_hash(),
+        0xc8b1_3db8_d207_32cb,
+        "kernel fleet drifted from its recorded run (got {:#018x}):\n  {}",
+        r.result_hash(),
+        r.summary()
+    );
     assert_eq!(r.timeouts, 0, "no timeouts at this load: {}", r.summary());
     assert!(
         r.group_sends > 0,
@@ -71,6 +92,13 @@ fn user_fleet_identical_across_backends_and_shards() {
     spec.mean_think = desim::ms(6);
     let r = assert_matrix_identical(&spec);
     percentiles_are_sane(&r);
+    assert_eq!(
+        r.result_hash(),
+        0xe7da_5e52_c764_4c53,
+        "user fleet drifted from its recorded run (got {:#018x}):\n  {}",
+        r.result_hash(),
+        r.summary()
+    );
     assert!(
         r.group_sends > 0,
         "group service exercised: {}",
@@ -95,6 +123,7 @@ fn heavy_tailed_arrivals_are_deterministic_too() {
 #[test]
 #[ignore = "minutes in debug builds; run with --release -- --ignored"]
 fn fleet_scale_1k() {
+    let _big = big_world_lock();
     for stack in [FleetStack::Kernel, FleetStack::User] {
         let mut spec = FleetSpec::new(1024, 16, stack);
         spec.lanes = 8;
@@ -115,6 +144,7 @@ fn fleet_scale_1k() {
 #[test]
 #[ignore = "thousands of simulated threads; run with --release -- --ignored"]
 fn fleet_scale_4k_cross_backend() {
+    let _big = big_world_lock();
     let mut spec = FleetSpec::new(4112, 16, FleetStack::Kernel);
     spec.lanes = 8;
     spec.duration = desim::ms(40);
@@ -136,6 +166,7 @@ fn fleet_scale_4k_cross_backend() {
 #[test]
 #[ignore = "tens of thousands of simulated threads; run with --release -- --ignored"]
 fn fleet_scale_10k() {
+    let _big = big_world_lock();
     let mut spec = FleetSpec::new(10_016, 16, FleetStack::Kernel);
     spec.lanes = 8;
     spec.duration = desim::ms(40);
@@ -167,6 +198,7 @@ fn fleet_scale_10k() {
 #[test]
 #[ignore = "tens of thousands of simulated threads; run with --release -- --ignored"]
 fn fleet_scale_10k_pinned() {
+    let _big = big_world_lock();
     // Recorded on the binary-heap far tier and unchanged by the timer-wheel
     // far tier — pop order is the public invariant both implement.
     const PINNED_HASH: u64 = 0x9391712da17eb8b6;

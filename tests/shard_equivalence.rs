@@ -287,7 +287,7 @@ fn faulted_multiseg(seed: u64) -> LanedArtifacts {
 /// scheduler lanes behind one switch, with traffic only between stations 0
 /// (home segment 0) and 1 (home segment 4). The six idle lanes drain
 /// immediately and their links never turn dirty, so every window exercises
-/// the window engine's idle-lane skip and dirty-flag flush elision — while
+/// the window engine's idle-lane skip and dirty-link flush elision — while
 /// the full observable surface must stay byte-identical across shard
 /// counts and backends.
 fn many_idle_lanes(seed: u64) -> (LanedArtifacts, desim::WindowStats) {
