@@ -98,6 +98,38 @@ impl System {
         }
         (self.b[i] - sigma) / self.a[i * self.n + i]
     }
+
+    /// [`System::update`] for every unknown in `rows`, bit-identical to
+    /// calling it row by row but four rows per pass over `x`: each row
+    /// keeps its own accumulator, summed in ascending `j` with the
+    /// diagonal skipped, so only the loads of `x` are shared.
+    fn update_rows(&self, rows: std::ops::Range<usize>, x: &[f64]) -> Vec<f64> {
+        let n = self.n;
+        let mut out = Vec::with_capacity(rows.len());
+        let mut i = rows.start;
+        while i + 4 <= rows.end {
+            let a: [&[f64]; 4] = std::array::from_fn(|k| &self.a[(i + k) * n..(i + k + 1) * n]);
+            let mut sigma = [0.0f64; 4];
+            let mut mac = |js: std::ops::Range<usize>, band: bool| {
+                for j in js {
+                    for (k, (s, row)) in sigma.iter_mut().zip(&a).enumerate() {
+                        if !band || j != i + k {
+                            *s += row[j] * x[j];
+                        }
+                    }
+                }
+            };
+            // The four diagonals sit in columns i..i+4; only that band
+            // needs the skip test.
+            mac(0..i, false);
+            mac(i..i + 4, true);
+            mac(i + 4..n, false);
+            out.extend((0..4).map(|k| (self.b[i + k] - sigma[k]) / a[k][i + k]));
+            i += 4;
+        }
+        out.extend((i..rows.end).map(|r| self.update(r, x)));
+        out
+    }
 }
 
 /// Sequential reference; returns the solution checksum.
@@ -146,7 +178,7 @@ pub fn run(cfg: &RunConfig, params: &LeqParams) -> AppReport {
         let my = slice_of(node, nodes, params.unknowns);
         for iter in 0..params.iterations {
             // Compute my slice from the current full vector.
-            let slice: Vec<f64> = my.clone().map(|i| sys.update(i, &x)).collect();
+            let slice = sys.update_rows(my.clone(), &x);
             ctx.compute_sliced(
                 params.mac_cost * (slice.len() as u64 * params.unknowns as u64),
                 crate::harness::CPU_QUANTUM,
@@ -215,6 +247,29 @@ mod tests {
             }
             assert!(covered.iter().all(|&c| c));
         }
+    }
+
+    #[test]
+    fn update_rows_is_bitwise_update_row_by_row() {
+        let n = 23;
+        let sys = System::generate(0x1e9, n);
+        let x: Vec<f64> = (0..n).map(|j| (j as f64 * 0.37).sin() * 3.0).collect();
+        // Every start offset puts the first block's diagonals in a
+        // different place, and lengths 0..=11 cover every remainder mod 4.
+        for start in 0..8 {
+            for len in 0..=(n - start).min(11) {
+                let rows = start..start + len;
+                let fast = sys.update_rows(rows.clone(), &x);
+                let slow: Vec<f64> = rows.map(|i| sys.update(i, &x)).collect();
+                let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&fast), bits(&slow), "rows {start}..{}", start + len);
+            }
+        }
+        let all = sys.update_rows(0..n, &x);
+        assert!(all
+            .iter()
+            .zip(0..n)
+            .all(|(v, i)| v.to_bits() == sys.update(i, &x).to_bits()));
     }
 
     #[test]

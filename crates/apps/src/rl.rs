@@ -131,6 +131,47 @@ fn sweep(labels: &Labels, out: &mut Labels, above: Option<&[i64]>, below: Option
     visits
 }
 
+/// [`sweep`] for a worker's strip, bit-identical but branch-free.
+/// Labels are `-1` (background) or non-negative, so read as `u64` every
+/// negative label sorts above every foreground one, and "the least
+/// foreground neighbour, if smaller" is a plain minimum. A missing
+/// neighbour row is stood in for by the cell's own row, which cannot
+/// lower the minimum.
+fn sweep_rows(
+    labels: &Labels,
+    out: &mut Labels,
+    above: Option<&[i64]>,
+    below: Option<&[i64]>,
+) -> u64 {
+    let h = labels.len();
+    let w = labels[0].len();
+    for (y, (row, o)) in labels.iter().zip(out.iter_mut()).enumerate() {
+        let up = if y > 0 {
+            &labels[y - 1]
+        } else {
+            above.unwrap_or(row)
+        };
+        let down = if y + 1 < h {
+            &labels[y + 1]
+        } else {
+            below.unwrap_or(row)
+        };
+        let (row, up, down, o) = (&row[..w], &up[..w], &down[..w], &mut o[..w]);
+        for x in 0..w {
+            let c = row[x];
+            let l = if x > 0 { row[x - 1] } else { c };
+            let r = if x + 1 < w { row[x + 1] } else { c };
+            let m = (c as u64)
+                .min(l as u64)
+                .min(r as u64)
+                .min(up[x] as u64)
+                .min(down[x] as u64);
+            o[x] = if c < 0 { -1 } else { m as i64 };
+        }
+    }
+    (h * w) as u64
+}
+
 /// Sequential reference run; returns the label checksum.
 pub fn solve_sequential(params: &RlParams) -> i64 {
     let img = generate_image(params.instance_seed, params.size);
@@ -243,7 +284,7 @@ pub fn run(cfg: &RunConfig, params: &RlParams) -> AppReport {
             let below = down
                 .as_ref()
                 .map(|(_, neigh)| decode_row(&neigh.get(ctx).expect("get below")));
-            let visits = sweep(&labels, &mut next, above.as_deref(), below.as_deref());
+            let visits = sweep_rows(&labels, &mut next, above.as_deref(), below.as_deref());
             std::mem::swap(&mut labels, &mut next);
             ctx.compute_sliced(params.cell_cost * visits, crate::harness::CPU_QUANTUM);
         }
@@ -276,6 +317,46 @@ mod tests {
     fn row_codec_roundtrip() {
         let row = vec![-1i64, 0, 5, 1 << 40];
         assert_eq!(decode_row(&Bytes::from(encode_row(&row))), row);
+    }
+
+    #[test]
+    fn sweep_rows_matches_sweep() {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for (h, w) in [(1, 1), (1, 3), (2, 1), (3, 2), (8, 256), (5, 17)] {
+            // Background cells (-1) at about one in three.
+            let mut grid = || -> Labels {
+                (0..h)
+                    .map(|_| {
+                        (0..w)
+                            .map(|_| match next() % 3 {
+                                0 => -1,
+                                _ => (next() % 1000) as i64,
+                            })
+                            .collect()
+                    })
+                    .collect()
+            };
+            let labels = grid();
+            let edges = grid();
+            for (above, below) in [
+                (None, None),
+                (Some(&edges[0][..]), None),
+                (None, Some(&edges[h - 1][..])),
+                (Some(&edges[0][..]), Some(&edges[h - 1][..])),
+            ] {
+                let mut want = labels.clone();
+                let mut got = labels.clone();
+                let v1 = sweep(&labels, &mut want, above, below);
+                let v2 = sweep_rows(&labels, &mut got, above, below);
+                assert_eq!((v1, &want), (v2, &got), "{h}x{w}");
+            }
+        }
     }
 
     #[test]

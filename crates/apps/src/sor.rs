@@ -105,6 +105,47 @@ fn half_sweep(
     updates
 }
 
+/// [`half_sweep`] for a worker's strip, bit-identical: the same cells in
+/// the same order with the same arithmetic, but stepping straight from
+/// one cell of `parity` to the next instead of testing every cell.
+#[allow(clippy::too_many_arguments)]
+fn half_sweep_rows(
+    grid: &mut Grid,
+    offset: usize,
+    size: usize,
+    parity: usize,
+    omega: f64,
+    above: Option<&[f64]>,
+    below: Option<&[f64]>,
+) -> u64 {
+    let h = grid.len();
+    let mut updates = 0u64;
+    for y in 0..h {
+        let gy = y + offset;
+        if gy == 0 || gy == size - 1 {
+            continue; // fixed boundary rows
+        }
+        let (before, rest) = grid.split_at_mut(y);
+        let (row, after) = rest.split_first_mut().expect("row y exists");
+        let up = match before.last() {
+            Some(r) => &r[..],
+            None => above.expect("interior strip has an upper neighbour"),
+        };
+        let down = match after.first() {
+            Some(r) => &r[..],
+            None => below.expect("interior strip has a lower neighbour"),
+        };
+        // The first x >= 1 with (gy + x) % 2 == parity.
+        let first = 1 + (gy + 1 + parity) % 2;
+        for x in (first..size - 1).step_by(2) {
+            let old = row[x];
+            row[x] = old + omega * ((up[x] + down[x] + row[x - 1] + row[x + 1]) / 4.0 - old);
+            updates += 1;
+        }
+    }
+    updates
+}
+
 /// Sequential reference; returns the grid checksum.
 pub fn solve_sequential(params: &SorParams) -> i64 {
     let mut grid = initial_grid(params.size);
@@ -213,7 +254,7 @@ pub fn run(cfg: &RunConfig, params: &SorParams) -> AppReport {
                 let below = down
                     .as_ref()
                     .map(|(_, n)| decode_row(&n.get(ctx).expect("get below")));
-                let updates = half_sweep(
+                let updates = half_sweep_rows(
                     &mut grid,
                     strip.start,
                     params.size,
@@ -259,6 +300,53 @@ mod tests {
             "row under the hot edge warmed up"
         );
         assert_eq!(grid[0][3], 100.0, "boundary stays fixed");
+    }
+
+    #[test]
+    fn half_sweep_rows_is_bitwise_half_sweep() {
+        let size = 13;
+        let omega = 1.4;
+        let mut reference = initial_grid(size);
+        for _ in 0..3 {
+            for parity in [0, 1] {
+                half_sweep(&mut reference, 0, size, parity, omega, None, None);
+            }
+        }
+        // Strips with each start parity, at the top, in the middle and at
+        // the bottom, with and without neighbour rows.
+        for (lo, hi) in [(0, 4), (3, 8), (4, 9), (8, 13), (0, 13)] {
+            for parity in [0, 1] {
+                let above = (lo > 0).then(|| reference[lo - 1].clone());
+                let below = (hi < size).then(|| reference[hi].clone());
+                let mut want: Grid = reference[lo..hi].to_vec();
+                let mut got = want.clone();
+                let n1 = half_sweep(
+                    &mut want,
+                    lo,
+                    size,
+                    parity,
+                    omega,
+                    above.as_deref(),
+                    below.as_deref(),
+                );
+                let n2 = half_sweep_rows(
+                    &mut got,
+                    lo,
+                    size,
+                    parity,
+                    omega,
+                    above.as_deref(),
+                    below.as_deref(),
+                );
+                let bits =
+                    |g: &Grid| -> Vec<u64> { g.iter().flatten().map(|v| v.to_bits()).collect() };
+                assert_eq!(
+                    (n1, bits(&want)),
+                    (n2, bits(&got)),
+                    "rows {lo}..{hi} parity {parity}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -10,9 +10,30 @@
 //! Everything above the seam — event queue, virtual clock, wake
 //! generations, pick order, RNG draws — is backend-independent, which is
 //! what makes the two backends bit-identical in observable behaviour.
-//! Because of the strict alternation the global [`CoreState`] mutex is
-//! never contended; it exists to satisfy the borrow checker and `Send`
-//! bounds, not for parallelism.
+//!
+//! # Turn ownership
+//!
+//! A lane's [`CoreState`] lives in a [`TurnCell`], not a mutex. The cell
+//! relies on one invariant: **exactly one party holds a lane's turn at any
+//! time** — the lane's driver or one of its simulated threads — and only
+//! the turn holder touches the lane's state. Three hand-off edges move the
+//! turn, and each orders the previous holder's writes before the next
+//! holder's reads:
+//!
+//! 1. *Fibers* switch on one OS thread, so plain program order suffices.
+//! 2. *OS threads* hand the turn over through [`Conduit`]'s (and the
+//!    scheduler's `sched_turn`) release/acquire flip.
+//! 3. *The windowed driver* gives each lane to exactly one runner per
+//!    window, and its coordinator touches lane state only between
+//!    `WindowGate::wait_done` and `WindowGate::open`, which are
+//!    release/acquire edges with every runner.
+//!
+//! Public entry points that reach lane state (`Ctx`, `ThreadHandle`,
+//! `Simulation` accessors) inherit the same contract: call them from the
+//! turn holder — a simulated thread of that lane, or the driver between
+//! runs. Release builds check nothing, so an access uses no atomic
+//! operation; debug builds panic on any overlapping access (see
+//! [`TurnCell`]).
 //!
 //! # Hot-path hand-off
 //!
@@ -31,7 +52,9 @@
 //! backends share, so virtual time and traces are bit-identical to the
 //! scheduler-centric design.
 
+use std::cell::UnsafeCell;
 use std::fmt;
+use std::ops::{Deref, DerefMut};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::{Arc, OnceLock};
@@ -47,6 +70,83 @@ use crate::queue::{Event, EventQueue};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{ArgVec, Layer, Phase, TraceEvent, Tracer};
 use crate::Ctx;
+
+/// A lane-state cell owned by whoever holds the lane's turn (see the module
+/// docs for the invariant and its hand-off edges).
+///
+/// It keeps a mutex-like `lock()` guard API but never waits: release
+/// builds compile an access down to a plain pointer, and debug builds
+/// track a `held` flag that **panics** on an overlapping access —
+/// re-entrant, or from another OS thread — instead of blocking.
+pub(crate) struct TurnCell<T> {
+    value: UnsafeCell<T>,
+    #[cfg(debug_assertions)]
+    held: AtomicBool,
+}
+
+// SAFETY: `value` is only reached through a `TurnGuard`, and the turn
+// invariant (module docs) allows one guard at a time, handed between OS
+// threads only across a release/acquire edge; `T: Send` because the turn,
+// and with it `&mut T`, moves between OS threads. `held` is an atomic.
+unsafe impl<T: Send> Sync for TurnCell<T> {}
+
+impl<T> TurnCell<T> {
+    pub(crate) fn new(value: T) -> Self {
+        TurnCell {
+            value: UnsafeCell::new(value),
+            #[cfg(debug_assertions)]
+            held: AtomicBool::new(false),
+        }
+    }
+
+    /// Borrows the state for the rest of the caller's turn section.
+    ///
+    /// # Panics
+    ///
+    /// Debug builds only: if the cell is already borrowed.
+    #[inline]
+    #[track_caller]
+    pub(crate) fn lock(&self) -> TurnGuard<'_, T> {
+        #[cfg(debug_assertions)]
+        assert!(
+            !self.held.swap(true, AtomicOrdering::Acquire),
+            "lane state accessed outside its turn (overlapping access)"
+        );
+        TurnGuard { cell: self }
+    }
+}
+
+/// Exclusive access to a [`TurnCell`]'s value; see [`TurnCell::lock`].
+pub(crate) struct TurnGuard<'a, T> {
+    cell: &'a TurnCell<T>,
+}
+
+impl<T> Deref for TurnGuard<'_, T> {
+    type Target = T;
+
+    #[inline]
+    fn deref(&self) -> &T {
+        // SAFETY: one guard at a time per cell (the turn invariant,
+        // debug-checked in `lock`), so no `&mut` aliases this borrow.
+        unsafe { &*self.cell.value.get() }
+    }
+}
+
+impl<T> DerefMut for TurnGuard<'_, T> {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut T {
+        // SAFETY: as in `deref`.
+        unsafe { &mut *self.cell.value.get() }
+    }
+}
+
+impl<T> Drop for TurnGuard<'_, T> {
+    #[inline]
+    fn drop(&mut self) {
+        #[cfg(debug_assertions)]
+        self.cell.held.store(false, AtomicOrdering::Release);
+    }
+}
 
 /// Identifies a simulated thread within one [`crate::Simulation`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -623,7 +723,7 @@ impl CoreState {
 }
 
 pub(crate) struct Core {
-    pub state: Mutex<CoreState>,
+    pub state: TurnCell<CoreState>,
     /// Which execution backend this simulation's threads run on. Fixed at
     /// construction; see [`crate::Backend`] for the selection rules.
     backend: Backend,
@@ -633,12 +733,12 @@ pub(crate) struct Core {
     /// fiber switches to on a chain break, and what `resume_and_wait` saves
     /// into before switching a fiber in. Unused on the OS-thread backend.
     sched_ctx: fiber::ContextCell,
-    /// Mirrors `CoreState::tracer.is_some()`; lives outside the mutex so
+    /// Mirrors `CoreState::tracer.is_some()`; lives outside the state cell so
     /// disabled-tracing call sites pay one relaxed load and nothing else.
     pub trace_on: AtomicBool,
     /// Exclusive upper bound (nanoseconds) on the instants this lane may
     /// process in the current window; `u64::MAX` = unbounded (the classic
-    /// serial mode and link-free windows). Lives outside the mutex so the
+    /// serial mode and link-free windows). Lives outside the state cell so the
     /// windowed driver can set every lane's bound without a single lock
     /// acquisition; the window gate's release/acquire edges order the
     /// stores against runner reads, and within one turn plain program order
@@ -695,7 +795,7 @@ impl Core {
         queue_capacity: usize,
     ) -> Arc<Core> {
         Arc::new(Core {
-            state: Mutex::new(CoreState {
+            state: TurnCell::new(CoreState {
                 now: SimTime::ZERO,
                 seq: 0,
                 queue: EventQueue::with_capacity(queue_capacity.max(256)),
@@ -1205,4 +1305,37 @@ pub(crate) fn install_quiet_shutdown_hook() {
             prev(info);
         }));
     });
+}
+
+#[cfg(all(test, debug_assertions))]
+mod tests {
+    use super::{payload_to_string, TurnCell};
+
+    #[test]
+    #[should_panic(expected = "outside its turn")]
+    fn debug_turn_checker_rejects_reentrant_access() {
+        let cell = TurnCell::new(0u32);
+        let _outer = cell.lock();
+        let _inner = cell.lock();
+    }
+
+    #[test]
+    fn debug_turn_checker_rejects_access_from_a_second_thread() {
+        let cell = TurnCell::new(0u32);
+        let guard = cell.lock();
+        let second = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _g = cell.lock();
+            })
+            .join()
+        });
+        let payload = second.expect_err("overlapping access must panic, not block");
+        let msg = payload_to_string(&*payload);
+        assert!(msg.contains("outside its turn"), "{msg}");
+        drop(guard);
+        // The failed access left the first holder's borrow intact, and the
+        // cell is usable again once that borrow ends.
+        *cell.lock() += 1;
+        assert_eq!(*cell.lock(), 1);
+    }
 }

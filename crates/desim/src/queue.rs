@@ -436,6 +436,46 @@ mod tests {
         assert_eq!(stats.peak_depth, times.len() as u64, "{stats:?}");
     }
 
+    /// A standing population of re-arming timers carried across two `2^36`
+    /// ns wheel epochs: the cursor must follow the clock into each new
+    /// epoch, so only the re-arms that straddle a boundary go to the
+    /// overflow heap, and pop order stays the reference heap's.
+    #[test]
+    fn standing_timers_cross_wheel_epochs_without_piling_into_overflow() {
+        let periods = [700_000_007u64, 1_100_000_009, 1_300_000_021, 2_300_000_003];
+        let horizon = 5u64 << 35; // two and a half epochs
+        let mut q = EventQueue::with_capacity(8);
+        let mut r = RefHeap::default();
+        let mut seq = 0u64;
+        let mut push = |q: &mut EventQueue, r: &mut RefHeap, t: u64, k: usize| {
+            q.push(Event::new(SimTime::from_nanos(t), 0, seq, ThreadId(k), 0));
+            r.push(Event::new(SimTime::from_nanos(t), 0, seq, ThreadId(k), 0));
+            seq += 1;
+        };
+        for (k, p) in periods.iter().enumerate() {
+            push(&mut q, &mut r, *p, k);
+        }
+        let mut pops = 0u64;
+        while let Some(e) = q.pop() {
+            let want = r.pop().expect("reference drained first");
+            assert_eq!(e.key(), want.key());
+            pops += 1;
+            let (t, k) = (e.time.as_nanos(), e.thread().0);
+            // Thread indices past the timers mark same-instant wakes, which
+            // ride along like a channel send and re-arm nothing.
+            if t < horizon && k < periods.len() {
+                push(&mut q, &mut r, t + periods[k], k);
+                if pops.is_multiple_of(3) {
+                    push(&mut q, &mut r, t, periods.len());
+                }
+            }
+        }
+        assert!(r.pop().is_none());
+        let stats = q.stats();
+        assert!(pops > 400, "{pops} pops");
+        assert!(stats.overflow_pushes < 10, "{stats:?}");
+    }
+
     /// Same-instant events split across the far tier's slot extraction and
     /// later near-tier pushes still merge by (tie, seq) under perturbation.
     #[test]

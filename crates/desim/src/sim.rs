@@ -139,6 +139,10 @@ impl ThreadHandle {
     }
 
     /// Returns `true` once the thread body has returned.
+    ///
+    /// Like every access to lane state, call it from the lane's turn
+    /// holder: the driver between runs, or a simulated thread of the same
+    /// lane (see the `core` module docs).
     pub fn is_finished(&self) -> bool {
         self.core.state.lock().threads[self.tid.0].state == ThreadState::Finished
     }
@@ -146,11 +150,16 @@ impl ThreadHandle {
     /// Blocks the calling simulated thread until this thread finishes.
     ///
     /// Caller and target must live on the same lane: a cross-lane join
-    /// would schedule a wake into another lane's queue, bypassing the
-    /// lookahead bound that makes parallel windows safe. Route cross-lane
-    /// completion through a [`crate::XSender`] link instead.
+    /// would touch another lane's state outside that lane's turn and
+    /// schedule a wake into its queue, bypassing the lookahead bound that
+    /// makes parallel windows safe. Route cross-lane completion through a
+    /// [`crate::XSender`] link instead.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ctx` belongs to another lane than this thread.
     pub fn join(&self, ctx: &Ctx) {
-        debug_assert!(
+        assert!(
             Arc::ptr_eq(&self.core, ctx.core()),
             "cross-lane join: use a cross-lane link instead"
         );
@@ -1046,20 +1055,33 @@ impl Simulation {
     }
 
     /// Returns aggregate per-`(processor, layer, name)` counters, sorted.
-    /// Lane 0 only (`ProcId`s are lane-local).
+    /// On a multi-lane simulation every lane's counters are included, with
+    /// `ProcId`s remapped into the lane-major numbering of
+    /// [`Simulation::proc_names`].
     pub fn trace_counters(&self) -> Vec<CounterSnapshot> {
-        match self.core.state.lock().tracer.as_ref() {
-            Some(tr) => tr.counters(),
-            None => Vec::new(),
+        let mut out = Vec::new();
+        let mut p_off = 0;
+        for core in self.cores() {
+            let st = core.state.lock();
+            if let Some(tr) = st.tracer.as_ref() {
+                // Each lane's list is sorted and the offsets ascend, so the
+                // concatenation stays sorted.
+                out.extend(tr.counters().into_iter().map(|mut c| {
+                    c.proc = ProcId(c.proc.0 + p_off);
+                    c
+                }));
+            }
+            p_off += st.procs.len();
         }
+        out
     }
 
-    /// Number of events evicted from the ring buffer so far (lane 0).
+    /// Number of events evicted from the ring buffers so far (summed over
+    /// lanes).
     pub fn trace_dropped(&self) -> u64 {
-        match self.core.state.lock().tracer.as_ref() {
-            Some(tr) => tr.dropped(),
-            None => 0,
-        }
+        self.cores()
+            .map(|c| c.state.lock().tracer.as_ref().map_or(0, |tr| tr.dropped()))
+            .sum()
     }
 
     /// Serializes currently buffered events as chrome://tracing JSON

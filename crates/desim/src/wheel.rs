@@ -20,7 +20,11 @@
 //!   ordered by the full `(time, tie, seq)` key. Overflow events never
 //!   migrate into the wheel; they are popped straight off the heap when
 //!   their instant arrives. A far tier only ever sees a handful of these
-//!   (timeout guards, end-of-run horizons), so the heap stays tiny.
+//!   (timeout guards, end-of-run horizons), so the heap stays tiny — as
+//!   long as the cursor keeps up with the clock: a heap pop that finds the
+//!   wheel proper empty commits the cursor to its instant, so a standing
+//!   timer population carried across a `2^36` ns epoch boundary goes back
+//!   to the wheel instead of piling into the heap.
 //!
 //! # Exact pop order, not approximate expiry
 //!
@@ -224,6 +228,12 @@ impl Wheel {
         }
         if self.min_time == t {
             self.extract_min_slot(out);
+        } else if self.min_time == NO_MIN {
+            // The minimum comes off the heap and the wheel proper is empty:
+            // no resident's slot depends on the cursor, so commit it here.
+            // Otherwise a cursor left in an earlier 2^36 ns epoch would
+            // route every later push past that epoch to the heap.
+            self.elapsed = t;
         }
         // The overflow heap can hold events at the same instant as wheel
         // residents (pushed in an earlier cursor epoch, before the wheel

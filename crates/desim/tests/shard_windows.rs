@@ -9,7 +9,7 @@
 //! merges — matches a serial (`shards(1)`) reference execution exactly.
 //! Failures minimize through proptest's shrinking.
 
-use desim::{us, LaneId, SimChannel, SimTime, Simulation, WindowStats};
+use desim::{us, LaneId, Layer, SimChannel, SimTime, Simulation, WindowStats};
 use proptest::prelude::*;
 
 /// Everything observable about one run, for exact comparison.
@@ -149,6 +149,59 @@ fn cross_link_delivers_at_exactly_send_plus_delay() {
     });
     sim.run_until_finished(&sink).expect("sink finishes");
     assert_eq!(sim.lookahead(), Some(us(30)));
+}
+
+/// The trace accessors cover every lane: counters carry lane-major
+/// `ProcId`s (the numbering of `proc_names`) and `trace_dropped` sums the
+/// lanes' ring-buffer evictions.
+#[test]
+fn trace_counters_and_dropped_cover_every_lane() {
+    let mut sim = Simulation::builder().seed(5).shards(2).build();
+    let l1 = sim.add_lane();
+    let _a0 = sim.add_processor("a0");
+    let a1 = sim.add_processor("a1");
+    let b = sim.add_processor_on(l1, "b");
+    sim.enable_tracing_with_capacity(4);
+    let inbox: SimChannel<u64> = SimChannel::new();
+    let tx = sim.cross_link("ab", us(10), LaneId::ZERO, l1, b, inbox.clone());
+    sim.spawn(a1, "src", move |ctx| {
+        for i in 0..5 {
+            ctx.trace_instant(Layer::App, "tick", &[("i", i)]);
+            tx.send(ctx, i);
+            ctx.sleep(us(3));
+        }
+    });
+    sim.spawn_on_lane(l1, b, "sink", move |ctx| {
+        for _ in 0..5 {
+            let v = inbox.recv(ctx).expect("value");
+            ctx.trace_instant(Layer::App, "tock", &[("v", v)]);
+            ctx.trace_instant(Layer::App, "tock", &[("v", v)]);
+        }
+    });
+    sim.run().expect("run");
+
+    // Lane-major: lane 0's a0, a1 are p0, p1; lane 1's b is p2.
+    assert_eq!(sim.proc_names(), ["a0", "a1", "b"]);
+    let counters = sim.trace_counters();
+    let app = |name: &str| {
+        counters
+            .iter()
+            .find(|c| c.layer == Layer::App && c.name == name)
+            .map(|c| (c.proc.to_string(), c.count, c.total))
+    };
+    assert_eq!(app("tick"), Some(("p1".to_owned(), 5, 10)));
+    assert_eq!(app("tock"), Some(("p2".to_owned(), 10, 20)));
+    let mut sorted = counters.clone();
+    sorted.sort_by_key(|c| (c.proc, c.layer, c.name));
+    assert_eq!(counters, sorted, "merged counters stay sorted");
+
+    let recorded: u64 = counters.iter().map(|c| c.count).sum();
+    let buffered: usize = [LaneId::ZERO, l1]
+        .iter()
+        .map(|&l| sim.lane_trace_events(l).len())
+        .sum();
+    assert_eq!(buffered, 8, "both rings are full");
+    assert_eq!(sim.trace_dropped(), recorded - buffered as u64);
 }
 
 #[test]

@@ -12,10 +12,11 @@
 //!   thread — undoing the Orca runtime's continuation optimization.
 
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::{BufMut, Bytes, BytesMut};
-use desim::{Ctx, SimChannel, Simulation};
+use desim::{Ctx, Layer, SimChannel, Simulation};
 use parking_lot::Mutex;
 
 use amoeba::{GroupMember, GroupSpec, Machine, Port, RpcClient, RpcConfig, RpcServer};
@@ -42,6 +43,9 @@ pub struct KernelSpacePanda {
     client: RpcClient,
     member: GroupMember,
     handlers: Arc<Mutex<Handlers>>,
+    /// Requests too short to carry the caller's node id (see
+    /// [`KernelSpacePanda::malformed_requests`]).
+    malformed_requests: AtomicU64,
 }
 
 impl fmt::Debug for KernelSpacePanda {
@@ -108,6 +112,7 @@ impl KernelSpacePanda {
                     rpc: None,
                     group: None,
                 })),
+                malformed_requests: AtomicU64::new(0),
             });
             // RPC daemon pool: each thread loops get_request -> upcall ->
             // put_reply. A deferred reply parks the daemon on a slot until
@@ -121,9 +126,22 @@ impl KernelSpacePanda {
                     &format!("{}-rpcd{}", machine.name(), d),
                     move |ctx| loop {
                         let (req, token) = server.get_request(ctx);
+                        let Some((from, body)) = decode_from(&req) else {
+                            // Not a Panda request: count it, keep it from
+                            // the handler, and close the Amoeba transaction
+                            // with an empty reply so the kernel's duplicate
+                            // filter does not hold it open forever.
+                            panda_d.malformed_requests.fetch_add(1, Ordering::Relaxed);
+                            ctx.trace_instant(
+                                Layer::Rpc,
+                                "malformed_drop",
+                                &[("bytes", req.len() as u64)],
+                            );
+                            server.put_reply(ctx, token, Bytes::new());
+                            continue;
+                        };
                         let slot: SimChannel<Bytes> = SimChannel::new();
                         let ticket = ReplyTicket(TicketInner::Kernel { slot: slot.clone() });
-                        let (from, body) = decode_from(&req);
                         let handler = panda_d
                             .handlers
                             .lock()
@@ -174,6 +192,13 @@ impl KernelSpacePanda {
     pub fn group_member(&self) -> &GroupMember {
         &self.member
     }
+
+    /// Requests this node's RPC daemons dropped because they were too short
+    /// to carry a Panda caller id. Each was answered with an empty reply
+    /// and never reached the RPC handler.
+    pub fn malformed_requests(&self) -> u64 {
+        self.malformed_requests.load(Ordering::Relaxed)
+    }
 }
 
 /// Requests carry the caller's node id in a 4-byte prefix (Panda-level
@@ -185,9 +210,12 @@ fn encode_from(from: NodeId, body: &Bytes) -> Bytes {
     buf.freeze()
 }
 
-fn decode_from(wire: &Bytes) -> (NodeId, Bytes) {
-    let from = NodeId::from_be_bytes(wire[..4].try_into().expect("4-byte prefix"));
-    (from, wire.slice(4..))
+/// The inverse of [`encode_from`]; `None` for a payload shorter than the
+/// prefix.
+fn decode_from(wire: &Bytes) -> Option<(NodeId, Bytes)> {
+    let prefix = wire.get(..4)?;
+    let from = NodeId::from_be_bytes(prefix.try_into().expect("4-byte slice"));
+    Some((from, wire.slice(4..)))
 }
 
 impl Panda for KernelSpacePanda {
@@ -241,5 +269,27 @@ impl Panda for KernelSpacePanda {
             .send(ctx, msg)
             .map(|_seq| ())
             .map_err(|amoeba::GroupError::Timeout| CommError::Timeout)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #[test]
+        fn decode_from_never_panics_on_garbage(
+            bytes in proptest::collection::vec(any::<u8>(), 0..64),
+        ) {
+            let wire = Bytes::from(bytes);
+            match decode_from(&wire) {
+                Some((from, body)) => {
+                    prop_assert!(wire.len() >= 4);
+                    prop_assert_eq!(encode_from(from, &body), wire);
+                }
+                None => prop_assert!(wire.len() < 4),
+            }
+        }
     }
 }

@@ -330,6 +330,15 @@ mod tests {
         assert!(PandaHeader::decode(&Bytes::from(junk)).is_none());
     }
 
+    proptest::proptest! {
+        #[test]
+        fn decode_never_panics_on_garbage(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..96),
+        ) {
+            let _ = PandaHeader::decode(&Bytes::from(bytes));
+        }
+    }
+
     #[test]
     fn header_sizes_match_paper() {
         assert_eq!(Module::Rpc.header_bytes(), 64);

@@ -57,6 +57,41 @@ fn rpc_roundtrip_both_impls() {
     }
 }
 
+/// A request too short for the kernel stack's caller-id prefix is dropped
+/// and counted, answered with an empty reply, and leaves the daemon
+/// serving Panda traffic.
+#[test]
+fn kernel_stack_drops_a_malformed_request_without_panicking() {
+    let mut sim = Simulation::new(4);
+    let world = testutil::boot_machines(&mut sim, 3);
+    let nodes =
+        panda::KernelSpacePanda::build(&mut sim, &world.machines[..2], &PandaConfig::default());
+    let echo = Arc::clone(&nodes[1]);
+    nodes[1].set_rpc_handler(Arc::new(move |ctx, _from, req, ticket| {
+        echo.reply(ctx, ticket, req);
+    }));
+    for n in &nodes {
+        n.set_group_handler(Arc::new(|_, _| {}));
+    }
+    // The third machine runs a bare Amoeba client, not Panda.
+    let stranger = amoeba::RpcClient::install(&world.machines[2], amoeba::RpcConfig::default());
+    let first = sim.spawn(world.machines[2].proc(), "stranger", move |ctx| {
+        let reply = stranger
+            .trans(ctx, amoeba::Port(0x5001), Bytes::from_static(&[1, 2]))
+            .expect("the malformed request is answered");
+        assert!(reply.is_empty());
+    });
+    let client = Arc::clone(&nodes[0]);
+    let h = sim.spawn(client.machine().proc(), "client", move |ctx| {
+        first.join(ctx);
+        let reply = client.rpc(ctx, 1, Bytes::from_static(b"ok")).expect("rpc");
+        assert_eq!(&reply[..], b"ok");
+    });
+    sim.run_until_finished(&h).expect("run");
+    assert_eq!(nodes[1].malformed_requests(), 1);
+    assert_eq!(nodes[0].malformed_requests(), 0);
+}
+
 #[test]
 fn rpc_large_payloads_roundtrip() {
     for which in all_impls() {
